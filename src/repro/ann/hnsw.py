@@ -3,8 +3,11 @@
 Pure numpy/heapq implementation of the standard HNSW algorithm: each
 point gets a geometric random level; upper layers are sparse "express"
 graphs descended greedily, and the base layer is beam-searched with an
-``ef`` candidate list. The VMF (§2.2) builds one index per SF-group and
-issues radius queries to find likely-equivalent neighbors.
+``ef`` candidate list. The VMF (§2.2) used to build one index per
+SF-group; it now runs exact radius search instead
+(:func:`repro.filters.vmf.radius_pairs`), which is cheaper at SF-group
+sizes and cannot miss a neighbor. The index is kept for the benchmark's
+per-layer tracer, which still imports it.
 """
 from __future__ import annotations
 

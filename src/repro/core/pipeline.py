@@ -10,7 +10,10 @@ Two implementations of ``GEqO_SET`` (Equation 1):
   reaches the next.
 - :func:`geqo_set_local` — same semantics on the driver, used by the
   SSFL inner loop and micro-benchmarks where Spark task overhead would
-  drown the measured quantity.
+  drown the measured quantity. Each plan is canonicalized and
+  instance-encoded once, inside the VMF stage; every SF-group's n-ary
+  encoding and every EMF pair's encoding is then a matrix conversion
+  (§4.2.1, :func:`repro.filters.vmf.encode_workload`).
 
 Both return a :class:`PipelineResult` with per-stage survivor counts
 and wall-clock times, which is what the Table 1 / ablation experiments
@@ -25,9 +28,18 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.plan import Plan, from_json
-from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores, emf_scores_spark
+from repro.filters.emf_filter import (
+    DEFAULT_EMF_THRESHOLD,
+    emf_scores_spark,
+    emf_scores_workload,
+)
 from repro.filters.schema_filter import sf_candidate_pairs, sf_groups, workload_to_df
-from repro.filters.vmf import DEFAULT_TAU, VMF, vmf_candidates_spark
+from repro.filters.vmf import (
+    DEFAULT_TAU,
+    encode_workload,
+    vmf_candidates,
+    vmf_candidates_spark,
+)
 from repro.nn.model import EMF
 from repro.verifier.av import Verifier
 
@@ -61,21 +73,26 @@ def geqo_set_local(
     verifier = verifier or Verifier()
 
     pairs: set[tuple[int, int]] | None = None
+    groups = None
     if "SF" in filters:
         t0 = time.perf_counter()
+        groups = sf_groups(plans)
         pairs = set()
-        for idxs in sf_groups(plans).values():
+        for idxs in groups.values():
             for a in range(len(idxs)):
                 for b in range(a + 1, len(idxs)):
                     pairs.add((idxs[a], idxs[b]))
         res.times["SF"] = time.perf_counter() - t0
         res.survivors["SF"] = len(pairs)
+    encoded = None  # (instance encodings, vocab): each plan encoded once
     if "VMF" in filters:
         if model is None:
             raise ValueError("VMF requires a trained model")
         t0 = time.perf_counter()
-        vmf = VMF(model, tau=tau)
-        cand = vmf.candidate_pairs(plans)
+        if groups is None:
+            groups = sf_groups(plans)
+        encoded = encode_workload(plans)
+        cand = vmf_candidates(model, *encoded, groups.values(), tau=tau)
         pairs = cand if pairs is None else (pairs & cand)
         res.times["VMF"] = time.perf_counter() - t0
         res.survivors["VMF"] = len(pairs)
@@ -85,8 +102,9 @@ def geqo_set_local(
         if model is None:
             raise ValueError("EMF requires a trained model")
         t0 = time.perf_counter()
+        encs, vocab = encoded or encode_workload(plans)
         ordered = sorted(pairs)
-        proba = emf_scores(model, [(plans[i], plans[j]) for i, j in ordered])
+        proba = emf_scores_workload(model, encs, ordered, vocab)
         pairs = {p for p, s in zip(ordered, proba) if s >= emf_threshold}
         res.times["EMF"] = time.perf_counter() - t0
         res.survivors["EMF"] = len(pairs)

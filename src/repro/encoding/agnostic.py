@@ -19,6 +19,7 @@ Two implementations, which must agree (tested):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class AgnosticSpace:
     n_tables: int = 6
     cols_per_table: int = 7
 
-    @property
+    @cached_property
     def vocab(self) -> Vocab:
         tables = tuple(f"t{i}" for i in range(self.n_tables))
         columns = tuple(
@@ -78,14 +79,6 @@ def symbol_maps(
         for j, c in enumerate(cols):
             cmap[f"{t}.{c}"] = f"{tmap[t]}.c{j}"
     return tmap, cmap
-
-
-class _SymbolicSchema:
-    """Duck-typed Schema over symbols, for reusing ``encode_tree``."""
-
-    def __init__(self, tmap: dict[str, str], cmap: dict[str, str]):
-        self.tmap = tmap
-        self.cmap = cmap
 
 
 def _symbolize_plan(plan: Plan, tmap: dict[str, str], cmap: dict[str, str]) -> Plan:
@@ -193,14 +186,11 @@ def convert_group(
     # table scatter: i-th referenced table (ascending) → symbol i
     t_new = np.arange(len(t_idx))
     # column scatter: j-th referenced column of symbol-table i → slot i*m + j
-    table_of_col = np.array(
-        [vocab.tables.index(key.split(".", 1)[0]) for key in vocab.columns]
-    )
     t_sym_of = {int(old): int(new) for old, new in zip(t_idx, t_new)}
     c_new = np.empty(len(c_idx), dtype=np.int64)
     per_table_count: dict[int, int] = {}
     for k, old in enumerate(c_idx):
-        ti = t_sym_of[int(table_of_col[old])]
+        ti = t_sym_of[int(vocab.table_of_col[old])]
         j = per_table_count.get(ti, 0)
         if j >= space.cols_per_table:
             raise ValueError("referenced columns exceed agnostic space")

@@ -26,7 +26,8 @@ indices, which is exactly what the tree-convolution layers consume.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,70 +41,68 @@ from repro.core.plan import (
     alias_map,
     bfs,
 )
+from repro.core.subexpr import referenced_columns
 from repro.solver.linexpr import OPS, Constraint
+
+
+_derived = partial(field, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class Vocab:
-    """Encoding vocabulary: tables, columns (grouped by table), ops, joins."""
+    """Encoding vocabulary: tables, columns (grouped by table), ops, joins.
+
+    Sizes, segment offsets and index lookups are computed once here:
+    the encoder and the matrix converter read them for every node.
+    """
 
     tables: tuple[str, ...]
     columns: tuple[str, ...]  # "table.col", sorted by (table, col)
 
-    @property
-    def n_t(self) -> int:
-        return len(self.tables)
+    n_t: int = _derived()
+    n_c: int = _derived()
+    nv_size: int = _derived()
+    # segment offsets
+    off_table: int = _derived()
+    off_join_cl: int = _derived()
+    off_join_op: int = _derived()
+    off_join_cr: int = _derived()
+    off_join_jt: int = _derived()
+    off_sel_c: int = _derived()
+    off_sel_op: int = _derived()
+    off_const: int = _derived()
+    off_null: int = _derived()
+    # lookups
+    _table_pos: dict[str, int] = _derived()
+    _col_pos: dict[str, int] = _derived()
+    table_of_col: np.ndarray = _derived()  # column index -> table index
 
-    @property
-    def n_c(self) -> int:
-        return len(self.columns)
-
-    @property
-    def nv_size(self) -> int:
-        return self.n_t + 3 * self.n_c + 2 * len(OPS) + len(JOIN_TYPES) + 2
-
-    # segment offsets ------------------------------------------------
-    @property
-    def off_table(self) -> int:
-        return 0
-
-    @property
-    def off_join_cl(self) -> int:
-        return self.n_t
-
-    @property
-    def off_join_op(self) -> int:
-        return self.off_join_cl + self.n_c
-
-    @property
-    def off_join_cr(self) -> int:
-        return self.off_join_op + len(OPS)
-
-    @property
-    def off_join_jt(self) -> int:
-        return self.off_join_cr + self.n_c
-
-    @property
-    def off_sel_c(self) -> int:
-        return self.off_join_jt + len(JOIN_TYPES)
-
-    @property
-    def off_sel_op(self) -> int:
-        return self.off_sel_c + self.n_c
-
-    @property
-    def off_const(self) -> int:
-        return self.off_sel_op + len(OPS)
-
-    @property
-    def off_null(self) -> int:
-        return self.off_const + 1
+    def __post_init__(self) -> None:
+        put = partial(object.__setattr__, self)
+        n_t, n_c = len(self.tables), len(self.columns)
+        put("n_t", n_t)
+        put("n_c", n_c)
+        off = 0
+        for seg, size in (
+            ("table", n_t), ("join_cl", n_c), ("join_op", len(OPS)),
+            ("join_cr", n_c), ("join_jt", len(JOIN_TYPES)), ("sel_c", n_c),
+            ("sel_op", len(OPS)), ("const", 1), ("null", 1),
+        ):
+            put(f"off_{seg}", off)
+            off += size
+        put("nv_size", off)
+        table_pos = {t: i for i, t in enumerate(self.tables)}
+        put("_table_pos", table_pos)
+        put("_col_pos", {c: i for i, c in enumerate(self.columns)})
+        put("table_of_col", np.array(
+            [table_pos[c.split(".", 1)[0]] for c in self.columns], dtype=np.int64
+        ))
 
     def table_idx(self, t: str) -> int:
-        return self.tables.index(t)
+        return self._table_pos[t]
 
     def col_idx(self, key: str) -> int:
-        return self.columns.index(key)
+        return self._col_pos[key]
 
 
 def schema_vocab(schema) -> Vocab:
@@ -114,6 +113,21 @@ def schema_vocab(schema) -> Vocab:
         for c in sorted(schema.table(t).columns)
     )
     return Vocab(tables, columns)
+
+
+def workload_vocab(plans: list[Plan]) -> Vocab:
+    """Vocabulary of only the tables and columns ``plans`` reference,
+    ordered like :func:`schema_vocab`, so the §4.2.1 converter maps it
+    to the same agnostic encodings as the full schema vocabulary."""
+    tables: set[str] = set()
+    columns: set[tuple[str, str]] = set()
+    for p in plans:
+        amap = alias_map(p)
+        tables.update(amap.values())
+        columns.update((amap[c.alias], c.column) for c in referenced_columns(p))
+    return Vocab(
+        tuple(sorted(tables)), tuple(f"{t}.{c}" for t, c in sorted(columns))
+    )
 
 
 def norm_const(v: float) -> float:

@@ -18,13 +18,16 @@ import numpy as np
 from repro.baselines.optimizer_rules import optimizer_set
 from repro.baselines.signature import signature_set
 from repro.core.pipeline import geqo_set_local
-from repro.encoding.instance import schema_vocab
 from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores_workload
 from repro.filters.schema_filter import sf_groups
-from repro.filters.vmf import VMF, calibrate_tau
+from repro.filters.vmf import VMF, calibrate_tau, encode_workload
 from repro.nn.model import EMF
 from repro.verifier.av import Verifier
-from repro.workload.labeler import make_planted_workload, make_positive_pairs
+from repro.workload.labeler import (
+    PlantedWorkload,
+    make_planted_workload,
+    make_positive_pairs,
+)
 from repro.workload.schema import TPCDS_LITE
 
 from repro.workload.rewrites import IMPLICATION, NORMALIZATION, SYNTACTIC
@@ -102,15 +105,13 @@ def _rates(
     return tpr, tnr
 
 
-def run(
-    model: EMF,
-    *,
-    n_subexpr: int = 320,
-    n_equiv: int = 50,
-    seed: int = 100,
-    emf_threshold: float = DEFAULT_EMF_THRESHOLD,
-) -> Table1Result:
-    w = make_planted_workload(
+def workload(
+    *, n_subexpr: int = 320, n_equiv: int = 50, seed: int = 100
+) -> PlantedWorkload:
+    """The Table 1 pool: TPC-DS-lite subexpressions over
+    :data:`TABLE_SETS`, planted pairs cycling through
+    :data:`FAMILY_TIERS`."""
+    return make_planted_workload(
         TPCDS_LITE,
         n_subexpr=n_subexpr,
         n_equiv=n_equiv,
@@ -119,6 +120,17 @@ def run(
         max_proj=2,
         family_tiers=FAMILY_TIERS,
     )
+
+
+def run(
+    model: EMF,
+    *,
+    n_subexpr: int = 320,
+    n_equiv: int = 50,
+    seed: int = 100,
+    emf_threshold: float = DEFAULT_EMF_THRESHOLD,
+) -> Table1Result:
+    w = workload(n_subexpr=n_subexpr, n_equiv=n_equiv, seed=seed)
     plans = w.plans
     n = len(plans)
     all_pairs = list(itertools.combinations(range(n), 2))
@@ -157,9 +169,9 @@ def run(
     )
 
     # ---- EMF standalone (converter fast path over all pairs) --------
-    vocab = schema_vocab(TPCDS_LITE)
     t0 = time.perf_counter()
-    proba = emf_scores_workload(model, plans, all_pairs, vocab)
+    encs, vocab = encode_workload(plans)
+    proba = emf_scores_workload(model, encs, all_pairs, vocab)
     emf_pairs = {
         p for p, s in zip(all_pairs, proba) if s >= emf_threshold
     }

@@ -1,8 +1,11 @@
 """Equivalence model filter (EMF) as a pipeline stage (§2.2).
 
 Scores candidate pairs with the trained tree-conv MLP. Driver-side
-batched scoring plus a Spark `mapInPandas` variant with broadcast
-weights for the distributed pipeline.
+batched scoring, from plans (:func:`emf_scores`) or from per-plan
+instance encodings through the §4.2.1 converter
+(:func:`emf_scores_workload`, the local cascade's path), plus a Spark
+`mapInPandas` variant with broadcast weights for the distributed
+pipeline.
 
 The filter threshold defaults to 0.2, *below* the 0.5 classification
 threshold: as the paper stresses (§7.1.1), false negatives are missed
@@ -14,12 +17,40 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.plan import Plan, from_json
-from repro.encoding.agnostic import DEFAULT_SPACE, AgnosticSpace, encode_pair_agnostic
+from repro.encoding.agnostic import (
+    DEFAULT_SPACE,
+    AgnosticSpace,
+    convert_pair,
+    encode_pair_agnostic,
+)
 from repro.encoding.canonical_form import canonical_plan
+from repro.encoding.instance import TreeEnc, Vocab
 from repro.nn.model import EMF
 from repro.nn.train import pad_encs
 
 DEFAULT_EMF_THRESHOLD = 0.2
+
+
+def _score(model: EMF, encoded, n: int, batch_size: int) -> np.ndarray:
+    """Probabilities for ``n`` pairs. ``encoded`` yields ``(k, ea, eb)``
+    for each pair that fits the agnostic space; the others keep proba
+    1.0 (pass). Each batch is padded to its largest plan."""
+    out = np.ones(n)
+    batch: list[tuple[int, TreeEnc, TreeEnc]] = []
+
+    def flush() -> None:
+        keep, ea, eb = zip(*batch)
+        m = max(e.X.shape[0] for e in ea + eb)
+        out[np.array(keep)] = model.predict_proba(pad_encs(ea, m), pad_encs(eb, m))
+        batch.clear()
+
+    for item in encoded:
+        batch.append(item)
+        if len(batch) >= batch_size:
+            flush()
+    if batch:
+        flush()
+    return out
 
 
 def emf_scores(
@@ -29,85 +60,53 @@ def emf_scores(
     space: AgnosticSpace = DEFAULT_SPACE,
     batch_size: int = 256,
 ) -> np.ndarray:
-    """Equivalence probabilities for plan pairs (driver-side)."""
-    if not pairs:
-        return np.array([])
-    enc_a, enc_b, keep = [], [], []
-    for k, (p1, p2) in enumerate(pairs):
-        try:
-            ea, eb = encode_pair_agnostic(
-                canonical_plan(p1), canonical_plan(p2), space
-            )
-        except ValueError:
-            continue  # out-of-space pairs default to proba 1.0 (pass)
-        enc_a.append(ea)
-        enc_b.append(eb)
-        keep.append(k)
-    out = np.ones(len(pairs))
-    for s in range(0, len(keep), batch_size):
-        ea = enc_a[s : s + batch_size]
-        eb = enc_b[s : s + batch_size]
-        m = max(
-            max(e.X.shape[0] for e in ea), max(e.X.shape[0] for e in eb)
-        )
-        proba = model.predict_proba(pad_encs(ea, m), pad_encs(eb, m))
-        out[np.array(keep[s : s + batch_size])] = proba
-    return out
+    """Equivalence probabilities for plan pairs, each encoded from
+    scratch (driver-side)."""
+
+    def encoded():
+        for k, (p1, p2) in enumerate(pairs):
+            try:
+                ea, eb = encode_pair_agnostic(
+                    canonical_plan(p1), canonical_plan(p2), space
+                )
+            except ValueError:
+                continue
+            yield k, ea, eb
+
+    return _score(model, encoded(), len(pairs), batch_size)
 
 
 def emf_scores_workload(
     model: EMF,
-    plans: list[Plan],
+    encs: list[TreeEnc],
     pairs: list[tuple[int, int]],
-    vocab,
+    vocab: Vocab,
     *,
     space: AgnosticSpace = DEFAULT_SPACE,
-    batch_size: int = 512,
+    batch_size: int = 256,
 ) -> np.ndarray:
     """Workload-scale EMF scoring via the §4.2.1 converter.
 
-    Instance-encodes each plan once (O(n)), then converts matrices
-    pairwise to the db-agnostic space — avoiding the O(n²) re-walk of
-    plans that naive pairwise encoding costs. This is the paper's
-    "lightweight converter" fast path; §4.2.1 reports it 1.8× faster
-    than encoding pairs from scratch (we measure our own factor in
-    EXPERIMENTS.md).
+    ``encs`` are the instance encodings (over ``vocab``) of the
+    workload's canonical plans, computed once per plan (see
+    :func:`repro.filters.vmf.encode_workload`); each pair ``(i, j)`` is
+    converted to the db-agnostic space from ``encs[i]`` and ``encs[j]``,
+    avoiding the O(n²) re-walk of plans that naive pairwise encoding
+    costs. This is the paper's "lightweight converter" fast path; §4.2.1
+    reports it 1.8× faster than encoding pairs from scratch (we measure
+    our own factor in EXPERIMENTS.md). Batches are formed as in
+    :func:`emf_scores`, so equal encodings give equal probabilities.
     """
-    from repro.encoding.agnostic import convert_pair
-    from repro.encoding.canonical_form import canonical_plan
-    from repro.encoding.instance import encode_tree
 
-    encs = [encode_tree(canonical_plan(p), vocab) for p in plans]
-    out = np.ones(len(pairs))
-    batch_a, batch_b, batch_k = [], [], []
+    def encoded():
+        for k, (i, j) in enumerate(pairs):
+            try:
+                ea, eb = convert_pair(encs[i], encs[j], vocab, space)
+            except ValueError:
+                continue
+            yield k, ea, eb
 
-    def flush():
-        if not batch_a:
-            return
-        m = max(
-            max(e.X.shape[0] for e in batch_a),
-            max(e.X.shape[0] for e in batch_b),
-        )
-        proba = model.predict_proba(
-            pad_encs(batch_a, m), pad_encs(batch_b, m)
-        )
-        out[np.array(batch_k)] = proba
-        batch_a.clear()
-        batch_b.clear()
-        batch_k.clear()
-
-    for k, (i, j) in enumerate(pairs):
-        try:
-            ea, eb = convert_pair(encs[i], encs[j], vocab, space)
-        except ValueError:
-            continue  # out-of-space pair passes through (proba 1.0)
-        batch_a.append(ea)
-        batch_b.append(eb)
-        batch_k.append(k)
-        if len(batch_a) >= batch_size:
-            flush()
-    flush()
-    return out
+    return _score(model, encoded(), len(pairs), batch_size)
 
 
 def emf_scores_spark(pairs_df, model: EMF):

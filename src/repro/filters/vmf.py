@@ -2,26 +2,41 @@
 
 Per SF-group: apply the *n*-ary db-agnostic encoding (§4.2.2), embed
 every subexpression with the EMF's trained tree-convolution stack
-(eval mode), index the embeddings in an HNSW graph, and emit pairs
-within Euclidean radius τ as likely-equivalent candidates.
+(eval mode), and emit pairs within Euclidean radius τ as
+likely-equivalent candidates.
 
-Driver-side (`VMF.candidate_pairs`) and Spark (`vmf_candidates_spark`,
-one `applyInPandas` task per SF-group) implementations share the same
-core, so results agree.
+The radius query is exact: SF-groups hold at most a few dozen plans, so
+a blocked pairwise distance computation is cheaper than building an
+approximate index and cannot miss a pair the way a beam search can.
+
+Each plan is canonicalized and instance-encoded once
+(:func:`encode_workload`); every group's agnostic encoding is then a
+matrix conversion (§4.2.1), and the EMF stage reuses the same instance
+encodings. Driver-side (`vmf_candidates`) and Spark
+(`vmf_candidates_spark`, one `applyInPandas` task per SF-group)
+implementations share :func:`group_candidate_pairs`, so results agree.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
-from repro.ann.hnsw import HNSW
 from repro.core.plan import Plan, from_json
-from repro.encoding.agnostic import DEFAULT_SPACE, AgnosticSpace, encode_group_agnostic
+from repro.encoding.agnostic import (
+    DEFAULT_SPACE,
+    AgnosticSpace,
+    convert_group,
+    encode_group_agnostic,
+)
 from repro.encoding.canonical_form import canonical_plan
+from repro.encoding.instance import TreeEnc, Vocab, encode_tree, workload_vocab
 from repro.filters.schema_filter import sf_groups
 from repro.nn.model import EMF
 from repro.nn.train import pad_encs
 
 DEFAULT_TAU = 1.0  # paper: FAISS radius d = 1 (§7 Implementation)
+_BLOCK_FLOATS = 1 << 20  # difference tensor per row block (8 MB of float64)
 
 
 def embed_group(
@@ -35,26 +50,72 @@ def embed_group(
     return model.embed_eval(X, L, R, mask)
 
 
+def encode_workload(plans: list[Plan]) -> tuple[list[TreeEnc], Vocab]:
+    """Instance encodings of the canonical plans over the workload's own
+    vocabulary — the per-plan work the VMF and EMF stages share."""
+    canon = [canonical_plan(p) for p in plans]
+    vocab = workload_vocab(canon)
+    return [encode_tree(p, vocab) for p in canon], vocab
+
+
+def radius_pairs(Z: np.ndarray, tau: float) -> set[tuple[int, int]]:
+    """All (i, j), i < j, with ‖Z[i] − Z[j]‖² ≤ τ², by exact search over
+    row blocks of bounded memory."""
+    n, h = Z.shape
+    r2 = tau * tau
+    rows = max(1, _BLOCK_FLOATS // max(1, n * h))
+    out: set[tuple[int, int]] = set()
+    for lo in range(0, n, rows):
+        d = Z[lo : lo + rows, None, :] - Z[None, lo:, :]
+        close = np.triu(np.einsum("ijk,ijk->ij", d, d) <= r2, k=1)
+        ii, jj = np.nonzero(close)
+        out.update(zip((ii + lo).tolist(), (jj + lo).tolist()))
+    return out
+
+
 def group_candidate_pairs(
     model: EMF,
-    plans: list[Plan],
+    encs: list[TreeEnc],
+    vocab: Vocab,
     *,
     tau: float = DEFAULT_TAU,
     space: AgnosticSpace = DEFAULT_SPACE,
-    seed: int = 0,
 ) -> set[tuple[int, int]]:
-    """Candidate pairs (local indices, i < j) within one SF-group."""
-    n = len(plans)
-    if n < 2:
+    """Candidate pairs (local indices, i < j) within one SF-group, from
+    the instance encodings ``encs`` (over ``vocab``) of its canonical
+    plans. Raises ValueError if the group exceeds the agnostic space."""
+    if len(encs) < 2:
         return set()
-    Z = embed_group(model, plans, space)
-    index = HNSW(Z.shape[1], seed=seed).build(Z)
-    ef = max(64, min(n, 512))
+    X, L, R, mask = pad_encs(convert_group(encs, vocab, space))
+    return radius_pairs(model.embed_eval(X, L, R, mask), tau)
+
+
+def vmf_candidates(
+    model: EMF,
+    encs: list[TreeEnc],
+    vocab: Vocab,
+    groups: Iterable[list[int]],
+    *,
+    tau: float = DEFAULT_TAU,
+    space: AgnosticSpace = DEFAULT_SPACE,
+) -> set[tuple[int, int]]:
+    """Candidate pairs (global ids) over SF-groups of a workload whose
+    instance encodings are ``encs``."""
     out: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in index.radius_search(Z[i], tau, ef=ef):
-            if j != i:
-                out.add((min(i, j), max(i, j)))
+    for idxs in groups:
+        try:
+            pairs = group_candidate_pairs(
+                model, [encs[i] for i in idxs], vocab, tau=tau, space=space
+            )
+        except ValueError:
+            # group exceeds the agnostic space: pass everything
+            # through (the filter must not drop true equivalences)
+            pairs = {
+                (a, b) for a in range(len(idxs)) for b in range(a + 1, len(idxs))
+            }
+        for a, b in pairs:
+            i, j = idxs[a], idxs[b]
+            out.add((min(i, j), max(i, j)))
     return out
 
 
@@ -95,25 +156,11 @@ class VMF:
 
     def candidate_pairs(self, plans: list[Plan]) -> set[tuple[int, int]]:
         """SF-group-wise candidates over a whole workload (global ids)."""
-        out: set[tuple[int, int]] = set()
-        for key, idxs in sf_groups(plans).items():
-            local = [plans[i] for i in idxs]
-            try:
-                pairs = group_candidate_pairs(
-                    self.model, local, tau=self.tau, space=self.space
-                )
-            except ValueError:
-                # group exceeds the agnostic space: pass everything
-                # through (the filter must not drop true equivalences)
-                pairs = {
-                    (a, b)
-                    for a in range(len(local))
-                    for b in range(a + 1, len(local))
-                }
-            for a, b in pairs:
-                i, j = idxs[a], idxs[b]
-                out.add((min(i, j), max(i, j)))
-        return out
+        encs, vocab = encode_workload(plans)
+        return vmf_candidates(
+            self.model, encs, vocab, sf_groups(plans).values(),
+            tau=self.tau, space=self.space,
+        )
 
     def pair_distance(self, p1: Plan, p2: Plan) -> float:
         """Pairwise embedding distance (the ``≈_VMF`` predicate)."""
@@ -148,14 +195,9 @@ def vmf_candidates_spark(
 
     def per_group(pdf: pd.DataFrame) -> pd.DataFrame:
         model = EMF.from_bytes(weights.value)
-        plans = [from_json(s) for s in pdf["plan"]]
+        encs, vocab = encode_workload([from_json(s) for s in pdf["plan"]])
         ids = pdf["id"].to_numpy()
-        try:
-            pairs = group_candidate_pairs(model, plans, tau=tau_b)
-        except ValueError:
-            pairs = {
-                (a, b) for a in range(len(plans)) for b in range(a + 1, len(plans))
-            }
+        pairs = vmf_candidates(model, encs, vocab, [list(range(len(encs)))], tau=tau_b)
         rows = [
             (int(min(ids[a], ids[b])), int(max(ids[a], ids[b])))
             for a, b in pairs

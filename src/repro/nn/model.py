@@ -13,6 +13,8 @@ The conv stack doubles as the VMF's embedding function (§2.2):
 """
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,7 +167,18 @@ class EMF:
         return blob
 
     def save(self, path: str) -> None:
-        np.savez(path, **self._blob())
+        """Write to a temp file beside ``path``, then rename it into
+        place: a writer killed midway never leaves a partial blob."""
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path) or ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.savez(f, **self._blob())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def to_bytes(self) -> bytes:
         """Serialized weights — broadcast to Spark workers."""
@@ -183,7 +196,8 @@ class EMF:
 
     @staticmethod
     def load(path: str) -> "EMF":
-        return EMF._from_blob(np.load(path))
+        with np.load(path) as blob:
+            return EMF._from_blob(blob)
 
     @staticmethod
     def _from_blob(blob) -> "EMF":

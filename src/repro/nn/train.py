@@ -7,7 +7,9 @@ confusion-matrix numbers the paper reports in Tables 3–5.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,8 @@ from repro.encoding.instance import TreeEnc
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
 from repro.workload.labeler import LabeledPair
+
+log = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
@@ -199,11 +203,18 @@ def cache_key(**kw) -> str:
 
 
 def cached_model(path_dir: str, key: str, build) -> EMF:
-    """Load a trained EMF from ``path_dir/key.npz`` or build+save it."""
+    """Load a trained EMF from ``path_dir/key.npz`` or build+save it.
+
+    A blob that cannot be read (truncated, corrupt, missing arrays) is a
+    cache miss: it is logged, rebuilt and overwritten.
+    """
     os.makedirs(path_dir, exist_ok=True)
     path = os.path.join(path_dir, f"emf_{key}.npz")
     if os.path.exists(path):
-        return EMF.load(path)
+        try:
+            return EMF.load(path)
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
+            log.warning("unreadable model cache %s (%r); retraining", path, e)
     model = build()
     model.save(path)
     return model

@@ -19,20 +19,27 @@ not complete (like the paper's AV, §2.1): exotic equivalences with no
 alias bijection are reported non-equivalent.
 
 Cost: exponential in alias-group sizes and in FM variable count —
-mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. ``Verifier``
-counts solver invocations so experiments can report work done.
+mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. Past a
+budget (``_MAX_BIJECTIONS`` alias maps, or the solver's disequality
+limit) the answer is "unknown", which is counted and reported as not
+equivalent, so no input can make the AV throw. ``Verifier`` counts
+solver invocations and unknowns so experiments can report work done.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.plan import Plan
-from repro.solver.fm import implies, satisfiable
+from repro.solver.fm import SolverError, implies, satisfiable
 from repro.solver.linexpr import Constraint, LinExpr
 from repro.verifier.canonical import FlatSPJ, flatten
 
 _MAX_BIJECTIONS = 20_000
+
+
+class BijectionBudgetError(RuntimeError):
+    """More than ``_MAX_BIJECTIONS`` alias maps to try."""
 
 
 @dataclass
@@ -41,15 +48,22 @@ class Verifier:
 
     pairs_checked: int = 0
     solver_calls: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
+    unknown: int = 0  # pairs given up on at the bijection/solver budget
 
     def equivalent(self, p1: Plan, p2: Plan) -> bool:
+        """True only if the pair is proven equivalent. A pair that
+        exceeds the alias-bijection or disequality budget is counted in
+        ``unknown`` and reported as not equivalent."""
         self.pairs_checked += 1
         try:
             f1, f2 = flatten(p1), flatten(p2)
         except ValueError:
             return False
-        return self._equivalent_flat(f1, f2)
+        try:
+            return self._equivalent_flat(f1, f2)
+        except (BijectionBudgetError, SolverError):
+            self.unknown += 1
+            return False
 
     # -- internals ----------------------------------------------------
     def _equivalent_flat(self, f1: FlatSPJ, f2: FlatSPJ) -> bool:
@@ -89,7 +103,7 @@ class Verifier:
             perms = list(itertools.permutations(by_table_1[t]))
             total *= len(perms)
             if total > _MAX_BIJECTIONS:
-                raise RuntimeError("alias bijection search exceeded budget")
+                raise BijectionBudgetError("alias bijection search exceeded budget")
             groups.append((a2s, perms))
         for combo in itertools.product(*(perms for _, perms in groups)):
             mapping: dict[str, str] = {}

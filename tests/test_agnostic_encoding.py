@@ -1,9 +1,15 @@
 """DB-agnostic encoding tests (§4.2) — symbolization, converter parity,
 transfer invariance. Covers the Table 2 symbolization example."""
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.plan import rename_aliases
+from repro.encoding.canonical_form import canonical_plan
+from repro.experiments import table1
+from repro.filters.schema_filter import sf_groups
+from repro.filters.vmf import encode_workload
 from repro.encoding.agnostic import (
     AgnosticSpace,
     convert_group,
@@ -12,7 +18,7 @@ from repro.encoding.agnostic import (
     encode_pair_agnostic,
     symbol_maps,
 )
-from repro.encoding.instance import encode_tree, schema_vocab
+from repro.encoding.instance import encode_tree, schema_vocab, workload_vocab
 from repro.workload.generator import random_plans
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_plan import fig1_q1, fig1_q2
@@ -121,3 +127,40 @@ def test_pairwise_encoding_depends_on_partner():
     e_same, _ = encode_pair_agnostic(p, same[0])
     assert e_diff.X.shape == e_same.X.shape  # fixed NV_α size
     assert not np.array_equal(e_diff.X, e_same.X)
+
+
+def _same(c, d):
+    return (
+        np.array_equal(c.X, d.X)
+        and np.array_equal(c.left, d.left)
+        and np.array_equal(c.right, d.right)
+    )
+
+
+def test_converter_on_workload_vocab_matches_direct_table1():
+    """Instance encodings over the workload's own vocabulary, converted,
+    equal direct encoding for every SF-group (n-ary) and every SF pair —
+    the encodings the VMF and EMF stages of the cascade use."""
+    w = table1.workload()
+    canon = [canonical_plan(p) for p in w.plans]
+    encs, vocab = encode_workload(w.plans)
+    n_pairs = 0
+    for idxs in sf_groups(w.plans).values():
+        group = convert_group([encs[i] for i in idxs], vocab)
+        direct = encode_group_agnostic([canon[i] for i in idxs])
+        assert all(_same(c, d) for c, d in zip(group, direct))
+        for i, j in itertools.combinations(idxs, 2):
+            c1, c2 = convert_pair(encs[i], encs[j], vocab)
+            d1, d2 = encode_pair_agnostic(canon[i], canon[j])
+            assert _same(c1, d1) and _same(c2, d2), (i, j)
+            n_pairs += 1
+    assert n_pairs == 6996
+
+
+def test_workload_vocab_is_ordered_subset_of_schema_vocab():
+    plans = random_plans(TPCDS_LITE, 20, seed=3)
+    full, sub = schema_vocab(TPCDS_LITE), workload_vocab(plans)
+    assert set(sub.tables) <= set(full.tables)
+    assert list(sub.columns) == [c for c in full.columns if c in set(sub.columns)]
+    for p in plans:  # every column the encoder touches is in the vocabulary
+        encode_tree(p, sub)

@@ -1,9 +1,14 @@
 """SF / VMF / EMF filter tests, driver-side and Spark-side."""
+import itertools
+
 import numpy as np
 import pytest
 
+import repro.filters.vmf as vmf_mod
+from repro.core.pipeline import geqo_set_local
 from repro.core.plan import from_json, to_json
-from repro.filters.emf_filter import emf_scores, emf_scores_spark
+from repro.experiments import table1
+from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores, emf_scores_spark
 from repro.filters.keys import sf_key
 from repro.filters.schema_filter import (
     sf_candidate_pairs,
@@ -11,7 +16,14 @@ from repro.filters.schema_filter import (
     sf_pair_pass,
     workload_to_df,
 )
-from repro.filters.vmf import VMF, calibrate_tau, vmf_candidates_spark
+from repro.filters.vmf import (
+    VMF,
+    calibrate_tau,
+    embed_group,
+    radius_pairs,
+    vmf_candidates_spark,
+)
+from repro.verifier.av import Verifier
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_plan import fig1_q1, fig1_q2
@@ -61,6 +73,64 @@ def test_vmf_high_recall_on_planted(emf_model, tau, workload):
 def test_vmf_pair_distance_zero_for_identical(emf_model):
     vmf = VMF(emf_model)
     assert vmf.pair_distance(fig1_q1(), fig1_q1()) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def table1_workload(emf_model):
+    """The Table 1 workload and its τ, calibrated as Table 1 does."""
+    w = table1.workload()
+    cal = make_positive_pairs(TPCDS_LITE, 80, seed=101)
+    return w, calibrate_tau(emf_model, [(p.p1, p.p2) for p in cal])
+
+
+def test_radius_pairs_blocked_matches_brute_force(monkeypatch):
+    Z = np.random.default_rng(4).standard_normal((50, 3))
+    expect = {
+        (i, j) for i, j in itertools.combinations(range(50), 2)
+        if np.linalg.norm(Z[i] - Z[j]) <= 1.0
+    }
+    assert expect and radius_pairs(Z, 1.0) == expect
+    monkeypatch.setattr(vmf_mod, "_BLOCK_FLOATS", 7 * 50 * 3)  # 7-row blocks
+    assert radius_pairs(Z, 1.0) == expect
+
+
+def test_vmf_exact_matches_brute_force_on_table1(emf_model, table1_workload):
+    """Exact per-group radius search = brute-force distances between
+    directly encoded embeddings, on every SF-group; no planted pair lost."""
+    w, tau = table1_workload
+    expect = set()
+    for idxs in sf_groups(w.plans).values():
+        try:
+            Z = embed_group(emf_model, [w.plans[i] for i in idxs])
+        except ValueError:  # out of the agnostic space: all pairs pass
+            Z = np.zeros((len(idxs), 1))
+        for a, b in itertools.combinations(range(len(idxs)), 2):
+            if np.linalg.norm(Z[a] - Z[b]) <= tau:
+                expect.add((min(idxs[a], idxs[b]), max(idxs[a], idxs[b])))
+    got = VMF(emf_model, tau=tau).candidate_pairs(w.plans)
+    assert got == expect
+    assert w.planted <= got  # planted-pair recall 1.0
+
+
+def test_geqo_set_local_matches_per_pair_emf_path(emf_model, table1_workload):
+    """Encode-once cascade = SF ∩ VMF, then per-pair from-scratch EMF
+    scoring (``emf_scores``), then the AV."""
+    w, tau = table1_workload
+    res = geqo_set_local(w.plans, emf_model, tau=tau)
+    sf = {
+        p for idxs in sf_groups(w.plans).values()
+        for p in itertools.combinations(idxs, 2)
+    }
+    vmf = sorted(sf & VMF(emf_model, tau=tau).candidate_pairs(w.plans))
+    proba = emf_scores(emf_model, [(w.plans[i], w.plans[j]) for i, j in vmf])
+    emf = {p for p, s in zip(vmf, proba) if s >= DEFAULT_EMF_THRESHOLD}
+    v = Verifier()
+    av = {(i, j) for i, j in emf if v.equivalent(w.plans[i], w.plans[j])}
+    assert res.survivors == {
+        "SF": len(sf), "VMF": len(vmf), "EMF": len(emf), "AV": len(av)
+    }
+    assert res.pairs == av
+    assert set(res.times) == {"SF", "VMF", "EMF", "AV"}
 
 
 def test_emf_scores_shape_and_range(emf_model, workload):

@@ -8,6 +8,7 @@ from repro.nn.train import (
     PairTensors,
     bce_with_logits,
     cache_key,
+    cached_model,
     confusion,
     encode_pairs,
     evaluate,
@@ -92,6 +93,32 @@ def test_save_load_roundtrip(tmp_path):
     loaded = EMF.load(path)
     assert loaded.config == _CFG
     assert np.allclose(loaded.predict_proba(a, b), p1)
+
+
+def test_save_leaves_no_temp_file(tmp_path):
+    EMF(_CFG).save(str(tmp_path / "emf.npz"))
+    assert [p.name for p in tmp_path.iterdir()] == ["emf.npz"]
+
+
+def test_cached_model_retrains_on_truncated_blob(tmp_path):
+    """A cut-short cache file is a cache miss: rebuilt and rewritten."""
+    built = []
+
+    def build():
+        built.append(1)
+        return EMF(_CFG)
+
+    model = cached_model(str(tmp_path), "k", build)
+    path = tmp_path / "emf_k.npz"
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+    again = cached_model(str(tmp_path), "k", build)
+    assert len(built) == 2
+    assert path.read_bytes() == blob
+    a, b, _ = _pair_batch()
+    assert np.array_equal(again.predict_proba(a, b), model.predict_proba(a, b))
+    cached_model(str(tmp_path), "k", build)  # the rewritten blob loads
+    assert len(built) == 2
 
 
 def test_bce_matches_reference():

@@ -170,3 +170,33 @@ def test_non_inner_join_rejected_conservatively():
         Join(Scan("A", "A"), Scan("B", "B"),
              Comparison(Col("A", "k"), "=", Col("B", "k"))),
     ))
+
+
+def _self_join(n_aliases: int, filters=()) -> Project:
+    """``n_aliases`` scans of one table, chained by key equalities."""
+    plan = Scan("T", "t0")
+    for i in range(1, n_aliases):
+        plan = Join(
+            plan, Scan("T", f"t{i}"),
+            Comparison(Col(f"t{i - 1}", "k"), "=", Col(f"t{i}", "k")),
+        )
+    for pred in filters:
+        plan = Filter(pred, plan)
+    return Project((Col("t0", "k"),), plan)
+
+
+def test_bijection_budget_is_unknown_not_error():
+    """8 aliases of one table: 8! = 40320 alias maps exceed the budget."""
+    v = Verifier()
+    p = _self_join(8, [Comparison(Col("t0", "v"), ">", Const(1.0))])
+    q = _self_join(8, [Comparison(Col("t7", "v"), ">", Const(1.0))])
+    assert not v.equivalent(p, q)
+    assert v.unknown == 1 and v.pairs_checked == 1
+
+
+def test_disequality_budget_is_unknown_not_error():
+    """More disequalities than the FM solver splits on."""
+    diseqs = [Comparison(Col("t0", "v"), "!=", Const(float(c))) for c in range(13)]
+    v = Verifier()
+    assert not v.equivalent(_self_join(1, diseqs), _self_join(1, diseqs[::-1]))
+    assert v.unknown == 1
