@@ -1,8 +1,12 @@
 """Table 1 + §7.5 job: per-filter and end-to-end GEqO performance.
 
 Usage: ``spark-submit jobs/table1_filters.py [n_subexpr] [n_equiv]``
-(the experiment itself is driver-side + the Spark pipeline variant is
-exercised through ``repro.core.pipeline.geqo_set_spark`` in tests).
+
+The experiment runs in-process, through ``geqo_set_local``. The Spark
+executor ``repro.core.pipeline.geqo_set_spark`` runs the same per-group
+cascade as one Spark job; ``tests/test_pipeline.py`` checks that the two
+return the same pairs and counts, and ``perfbench`` times it on the
+``table1-spark`` workload.
 """
 import sys
 

@@ -171,7 +171,7 @@ def run(
     # ---- EMF standalone (converter fast path over all pairs) --------
     t0 = time.perf_counter()
     encs, vocab = encode_workload(plans)
-    proba = emf_scores_workload(model, encs, all_pairs, vocab)
+    proba, _ = emf_scores_workload(model, encs, all_pairs, vocab)
     emf_pairs = {
         p for p, s in zip(all_pairs, proba) if s >= emf_threshold
     }

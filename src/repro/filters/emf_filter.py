@@ -1,11 +1,9 @@
 """Equivalence model filter (EMF) as a pipeline stage (§2.2).
 
-Scores candidate pairs with the trained tree-conv MLP. Driver-side
-batched scoring, from plans (:func:`emf_scores`) or from per-plan
-instance encodings through the §4.2.1 converter
-(:func:`emf_scores_workload`, the local cascade's path), plus a Spark
-`mapInPandas` variant with broadcast weights for the distributed
-pipeline.
+Scores candidate pairs with the trained tree-conv MLP, in batches:
+from plans, each pair encoded from scratch (:func:`emf_scores`), or
+from per-plan instance encodings through the §4.2.1 converter
+(:func:`emf_scores_workload`, the cascade's path in both executors).
 
 The filter threshold defaults to 0.2, *below* the 0.5 classification
 threshold: as the paper stresses (§7.1.1), false negatives are missed
@@ -16,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plan import Plan, from_json
+from repro.core.plan import Plan
 from repro.encoding.agnostic import (
     DEFAULT_SPACE,
     AgnosticSpace,
@@ -31,15 +29,19 @@ from repro.nn.train import pad_encs
 DEFAULT_EMF_THRESHOLD = 0.2
 
 
-def _score(model: EMF, encoded, n: int, batch_size: int) -> np.ndarray:
-    """Probabilities for ``n`` pairs. ``encoded`` yields ``(k, ea, eb)``
-    for each pair that fits the agnostic space; the others keep proba
-    1.0 (pass). Each batch is padded to its largest plan."""
+def _score(model: EMF, encoded, n: int, batch_size: int) -> tuple[np.ndarray, int]:
+    """Probabilities for ``n`` pairs, and how many skipped scoring.
+    ``encoded`` yields ``(k, ea, eb)`` for each pair that fits the
+    agnostic space; the others keep proba 1.0 (pass). Each batch is
+    padded to its largest plan."""
     out = np.ones(n)
+    scored = 0
     batch: list[tuple[int, TreeEnc, TreeEnc]] = []
 
     def flush() -> None:
+        nonlocal scored
         keep, ea, eb = zip(*batch)
+        scored += len(keep)
         m = max(e.X.shape[0] for e in ea + eb)
         out[np.array(keep)] = model.predict_proba(pad_encs(ea, m), pad_encs(eb, m))
         batch.clear()
@@ -50,7 +52,7 @@ def _score(model: EMF, encoded, n: int, batch_size: int) -> np.ndarray:
             flush()
     if batch:
         flush()
-    return out
+    return out, n - scored
 
 
 def emf_scores(
@@ -73,7 +75,7 @@ def emf_scores(
                 continue
             yield k, ea, eb
 
-    return _score(model, encoded(), len(pairs), batch_size)
+    return _score(model, encoded(), len(pairs), batch_size)[0]
 
 
 def emf_scores_workload(
@@ -84,8 +86,10 @@ def emf_scores_workload(
     *,
     space: AgnosticSpace = DEFAULT_SPACE,
     batch_size: int = 256,
-) -> np.ndarray:
-    """Workload-scale EMF scoring via the §4.2.1 converter.
+) -> tuple[np.ndarray, int]:
+    """Workload-scale EMF scoring via the §4.2.1 converter: the
+    probabilities, and the number of pairs that skipped scoring (proba
+    1.0) because they exceed the agnostic space.
 
     ``encs`` are the instance encodings (over ``vocab``) of the
     workload's canonical plans, computed once per plan (see
@@ -108,29 +112,3 @@ def emf_scores_workload(
 
     return _score(model, encoded(), len(pairs), batch_size)
 
-
-def emf_scores_spark(pairs_df, model: EMF):
-    """Spark EMF scoring over a (id1, id2, plan1, plan2) DataFrame.
-
-    Returns (id1, id2, proba). Weights are broadcast once; each
-    `mapInPandas` batch deserializes them (cheap: a few ms)."""
-    import pandas as pd
-
-    spark = pairs_df.sparkSession
-    weights = spark.sparkContext.broadcast(model.to_bytes())
-
-    def score(batches):
-        model = EMF.from_bytes(weights.value)
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            pairs = [
-                (from_json(a), from_json(b))
-                for a, b in zip(pdf["plan1"], pdf["plan2"])
-            ]
-            proba = emf_scores(model, pairs)
-            yield pd.DataFrame(
-                {"id1": pdf["id1"], "id2": pdf["id2"], "proba": proba}
-            )
-
-    return pairs_df.mapInPandas(score, schema="id1 long, id2 long, proba double")

@@ -1,40 +1,29 @@
-"""Schema filter (SF) — §2.2.1, expressed as Spark DataFrame operations.
+"""Schema filter (SF) — §2.2.1.
 
 Groups workload subexpressions by (table multiset, output arity); only
 same-group pairs survive. O(n): one pass to key each subexpression,
-then a hash ``groupBy``. Candidate pair generation is a self-join inside
-each group with ``id1 < id2``.
+then a hash grouping — a dict in-process (:func:`sf_groups`), or a
+``groupBy("sf_key")`` over :func:`workload_to_df` under Spark. No pair
+is materialized: the rest of the cascade runs inside each group.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.plan import Plan, to_json
 from repro.filters.keys import sf_key, sf_key_str
 
 
 def workload_to_df(spark: SparkSession, plans: list[Plan]) -> DataFrame:
-    """Workload as a Spark DataFrame: (id, plan JSON, sf_key)."""
-    rows = [
-        (i, to_json(p), sf_key_str(p)) for i, p in enumerate(plans)
-    ]
+    """Workload as a Spark DataFrame: (id, plan JSON, sf_key). Built from
+    pandas, so it ships to the JVM as Arrow batches where Arrow is on."""
+    import pandas as pd
+
+    rows = pd.DataFrame(
+        [(i, to_json(p), sf_key_str(p)) for i, p in enumerate(plans)],
+        columns=["id", "plan", "sf_key"],
+    )
     return spark.createDataFrame(rows, "id long, plan string, sf_key string")
-
-
-def sf_candidate_pairs(workload_df: DataFrame) -> DataFrame:
-    """Unordered same-SF-group pairs (id1 < id2) — the SF survivors."""
-    a = workload_df.select(
-        F.col("id").alias("id1"),
-        F.col("plan").alias("plan1"),
-        "sf_key",
-    )
-    b = workload_df.select(
-        F.col("id").alias("id2"),
-        F.col("plan").alias("plan2"),
-        "sf_key",
-    )
-    return a.join(b, on="sf_key").where(F.col("id1") < F.col("id2"))
 
 
 def sf_groups(plans: list[Plan]) -> dict[tuple, list[int]]:

@@ -12,17 +12,18 @@ approximate index and cannot miss a pair the way a beam search can.
 Each plan is canonicalized and instance-encoded once
 (:func:`encode_workload`); every group's agnostic encoding is then a
 matrix conversion (§4.2.1), and the EMF stage reuses the same instance
-encodings. Driver-side (`vmf_candidates`) and Spark
-(`vmf_candidates_spark`, one `applyInPandas` task per SF-group)
-implementations share :func:`group_candidate_pairs`, so results agree.
+encodings. Both executors of the cascade reach the VMF through
+:func:`repro.core.pipeline.run_group`, which calls :func:`vmf_candidates`
+on one SF-group at a time.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.plan import Plan, from_json
+from repro.core.plan import Plan
 from repro.encoding.agnostic import (
     DEFAULT_SPACE,
     AgnosticSpace,
@@ -98,25 +99,25 @@ def vmf_candidates(
     *,
     tau: float = DEFAULT_TAU,
     space: AgnosticSpace = DEFAULT_SPACE,
-) -> set[tuple[int, int]]:
+) -> tuple[set[tuple[int, int]], int]:
     """Candidate pairs (global ids) over SF-groups of a workload whose
-    instance encodings are ``encs``."""
+    instance encodings are ``encs``, and the number of groups passed
+    through whole because they exceed the agnostic space."""
     out: set[tuple[int, int]] = set()
+    passthrough = 0
     for idxs in groups:
         try:
             pairs = group_candidate_pairs(
                 model, [encs[i] for i in idxs], vocab, tau=tau, space=space
             )
         except ValueError:
-            # group exceeds the agnostic space: pass everything
-            # through (the filter must not drop true equivalences)
-            pairs = {
-                (a, b) for a in range(len(idxs)) for b in range(a + 1, len(idxs))
-            }
+            # the filter must not drop true equivalences it cannot judge
+            passthrough += 1
+            pairs = itertools.combinations(range(len(idxs)), 2)
         for a, b in pairs:
             i, j = idxs[a], idxs[b]
             out.add((min(i, j), max(i, j)))
-    return out
+    return out, passthrough
 
 
 def calibrate_tau(
@@ -157,10 +158,11 @@ class VMF:
     def candidate_pairs(self, plans: list[Plan]) -> set[tuple[int, int]]:
         """SF-group-wise candidates over a whole workload (global ids)."""
         encs, vocab = encode_workload(plans)
-        return vmf_candidates(
+        pairs, _ = vmf_candidates(
             self.model, encs, vocab, sf_groups(plans).values(),
             tau=self.tau, space=self.space,
         )
+        return pairs
 
     def pair_distance(self, p1: Plan, p2: Plan) -> float:
         """Pairwise embedding distance (the ``≈_VMF`` predicate)."""
@@ -174,36 +176,3 @@ class VMF:
         except ValueError:
             return True
 
-
-def vmf_candidates_spark(
-    workload_df,
-    model: EMF,
-    *,
-    tau: float = DEFAULT_TAU,
-):
-    """Spark VMF: one `applyInPandas` task per SF-group.
-
-    ``workload_df`` is (id, plan, sf_key) from
-    :func:`repro.filters.schema_filter.workload_to_df`; the model weights
-    ship to workers via broadcast. Returns a DataFrame (id1, id2).
-    """
-    import pandas as pd
-
-    spark = workload_df.sparkSession
-    weights = spark.sparkContext.broadcast(model.to_bytes())
-    tau_b = float(tau)
-
-    def per_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        model = EMF.from_bytes(weights.value)
-        encs, vocab = encode_workload([from_json(s) for s in pdf["plan"]])
-        ids = pdf["id"].to_numpy()
-        pairs = vmf_candidates(model, encs, vocab, [list(range(len(encs)))], tau=tau_b)
-        rows = [
-            (int(min(ids[a], ids[b])), int(max(ids[a], ids[b])))
-            for a, b in pairs
-        ]
-        return pd.DataFrame(rows, columns=["id1", "id2"])
-
-    return workload_df.groupBy("sf_key").applyInPandas(
-        per_group, schema="id1 long, id2 long"
-    )

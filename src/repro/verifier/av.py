@@ -24,11 +24,14 @@ budget (``_MAX_BIJECTIONS`` alias maps, or the solver's disequality
 limit) the answer is "unknown", which is counted and reported as not
 equivalent, so no input can make the AV throw. ``Verifier`` counts
 solver invocations and unknowns so experiments can report work done.
+Inside :meth:`Verifier.flatten_once` each plan is flattened at most
+once however many pairs it takes part in.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from repro.core.plan import Plan
 from repro.solver.fm import SolverError, implies, satisfiable
@@ -49,15 +52,29 @@ class Verifier:
     pairs_checked: int = 0
     solver_calls: int = 0
     unknown: int = 0  # pairs given up on at the bijection/solver budget
+    # id(plan) -> (plan, flat form or None), only inside flatten_once;
+    # holding the plan keeps its id from being reused meanwhile
+    _flat: dict[int, tuple[Plan, FlatSPJ | None]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @contextmanager
+    def flatten_once(self):
+        """Within the block, flatten each plan object at most once."""
+        self._flat = {}
+        try:
+            yield self
+        finally:
+            self._flat = None
 
     def equivalent(self, p1: Plan, p2: Plan) -> bool:
         """True only if the pair is proven equivalent. A pair that
         exceeds the alias-bijection or disequality budget is counted in
         ``unknown`` and reported as not equivalent."""
         self.pairs_checked += 1
-        try:
-            f1, f2 = flatten(p1), flatten(p2)
-        except ValueError:
+        f1 = self._flatten(p1)
+        f2 = self._flatten(p2) if f1 is not None else None
+        if f2 is None:
             return False
         try:
             return self._equivalent_flat(f1, f2)
@@ -66,6 +83,19 @@ class Verifier:
             return False
 
     # -- internals ----------------------------------------------------
+    def _flatten(self, p: Plan) -> FlatSPJ | None:
+        """``flatten(p)``, or None outside the SPJ fragment."""
+        hit = self._flat.get(id(p)) if self._flat is not None else None
+        if hit is not None:
+            return hit[1]
+        try:
+            flat = flatten(p)
+        except ValueError:
+            flat = None
+        if self._flat is not None:
+            self._flat[id(p)] = (p, flat)
+        return flat
+
     def _equivalent_flat(self, f1: FlatSPJ, f2: FlatSPJ) -> bool:
         t1 = sorted(t for _, t in f1.aliases)
         t2 = sorted(t for _, t in f2.aliases)

@@ -6,22 +6,23 @@ import pytest
 
 import repro.filters.vmf as vmf_mod
 from repro.core.pipeline import geqo_set_local
-from repro.core.plan import from_json, to_json
+from repro.core.plan import from_json
 from repro.experiments import table1
-from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores, emf_scores_spark
-from repro.filters.keys import sf_key
-from repro.filters.schema_filter import (
-    sf_candidate_pairs,
-    sf_groups,
-    sf_pair_pass,
-    workload_to_df,
+from repro.encoding.agnostic import AgnosticSpace
+from repro.filters.emf_filter import (
+    DEFAULT_EMF_THRESHOLD,
+    emf_scores,
+    emf_scores_workload,
 )
+from repro.filters.keys import sf_key
+from repro.filters.schema_filter import sf_groups, sf_pair_pass, workload_to_df
 from repro.filters.vmf import (
     VMF,
     calibrate_tau,
     embed_group,
+    encode_workload,
     radius_pairs,
-    vmf_candidates_spark,
+    vmf_candidates,
 )
 from repro.verifier.av import Verifier
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
@@ -133,6 +134,22 @@ def test_geqo_set_local_matches_per_pair_emf_path(emf_model, table1_workload):
     assert set(res.times) == {"SF", "VMF", "EMF", "AV"}
 
 
+def test_out_of_space_passthroughs_are_counted(emf_model, workload):
+    """Groups and pairs the agnostic space cannot hold pass every pair
+    on, and are counted."""
+    none = AgnosticSpace(n_tables=0, cols_per_table=0)
+    encs, vocab = encode_workload(workload.plans)
+    groups = list(sf_groups(workload.plans).values())
+    pairs, passthrough = vmf_candidates(emf_model, encs, vocab, groups, space=none)
+    assert passthrough == sum(len(g) > 1 for g in groups) > 0
+    assert pairs == {p for g in groups for p in itertools.combinations(g, 2)}
+    proba, skipped = emf_scores_workload(emf_model, encs, sorted(pairs), vocab, space=none)
+    assert skipped == len(pairs) and np.all(proba == 1.0)
+    _, passthrough = vmf_candidates(emf_model, encs, vocab, groups)
+    _, skipped = emf_scores_workload(emf_model, encs, sorted(pairs), vocab)
+    assert passthrough == skipped == 0
+
+
 def test_emf_scores_shape_and_range(emf_model, workload):
     pairs = [(workload.plans[i], workload.plans[j]) for i, j in list(workload.planted)[:4]]
     s = emf_scores(emf_model, pairs)
@@ -165,42 +182,3 @@ def test_workload_df_roundtrip(spark, workload):
     rows = df.orderBy("id").collect()
     assert len(rows) == len(workload.plans)
     assert from_json(rows[0].plan) == workload.plans[0]
-
-
-def test_sf_candidate_pairs_spark_matches_driver(spark, workload):
-    df = workload_to_df(spark, workload.plans)
-    got = {
-        (r.id1, r.id2) for r in sf_candidate_pairs(df).collect()
-    }
-    expect = set()
-    for idxs in sf_groups(workload.plans).values():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                expect.add((min(idxs[a], idxs[b]), max(idxs[a], idxs[b])))
-    assert got == expect
-
-
-def test_vmf_spark_matches_driver(spark, emf_model, tau, workload):
-    df = workload_to_df(spark, workload.plans)
-    got = {(r.id1, r.id2) for r in vmf_candidates_spark(df, emf_model, tau=tau).collect()}
-    expect = VMF(emf_model, tau=tau).candidate_pairs(workload.plans)
-    assert got == expect
-
-
-def test_emf_spark_matches_driver(spark, emf_model, workload):
-    pairs = sorted(workload.planted)[:5]
-    rows = [
-        (i, j, to_json(workload.plans[i]), to_json(workload.plans[j]))
-        for i, j in pairs
-    ]
-    df = spark.createDataFrame(
-        rows, "id1 long, id2 long, plan1 string, plan2 string"
-    )
-    got = {
-        (r.id1, r.id2): r.proba for r in emf_scores_spark(df, emf_model).collect()
-    }
-    expect = emf_scores(
-        emf_model, [(workload.plans[i], workload.plans[j]) for i, j in pairs]
-    )
-    for (pair, p_spark), p_drv in zip(sorted(got.items()), expect):
-        assert abs(p_spark - p_drv) < 1e-9
